@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-runner lint determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke bench-smoke bench-gate bench-json bench-baseline profile-sweep flaky figures-gate goldens
+.PHONY: all build test race race-runner lint determinism fault-smoke chaos-smoke timeline-smoke fleet-smoke crash-smoke perfbench-test bench-smoke bench-gate bench-json bench-baseline profile-sweep flaky figures-gate goldens
 
 all: build test
 
@@ -81,6 +81,13 @@ fleet-smoke:
 # points are printed as exact replay commands.
 crash-smoke:
 	bash scripts/crash_smoke.sh
+
+# The host-cost benchmark's tests (perfbench/ is its own Go module, so the
+# root `go test ./...` does not reach them): the simulated-result oracle on
+# every committed seed and the held-out seed, fused == digest-traced
+# results, sliced == one-shot run digests, and the layer-accounting checks.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # One iteration of every benchmark — catches bit-rot in benchmark code and
 # gives a cheap overhead spot-check without a full measurement run.

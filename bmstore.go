@@ -44,22 +44,9 @@ type Config struct {
 	NumSSDs int
 	// SSD returns the configuration of SSD i; nil means a P4510.
 	SSD func(i int) ssd.Config
-	// SSDWithEnv is like SSD but receives the simulation environment,
-	// needed by device configs that carry env-bound state (e.g. the SATA
-	// bridge's mechanical medium). Takes precedence over SSD.
-	SSDWithEnv func(env *sim.Env, i int) ssd.Config
 	// CaptureData materialises payload bytes end to end. Benchmarks turn
 	// it off; integrity-sensitive work leaves it on.
 	CaptureData bool
-
-	// DisableFastPath forces the classic process-per-command data path even
-	// on rigs with no tracer or fault injector. The event-fused fast path is
-	// timing-neutral by construction (see DESIGN.md §11), so this exists for
-	// A/B verification and debugging, not correctness.
-	//
-	// Deprecated: pass WithClassicPath() to the testbed constructor instead.
-	// The field keeps delegating for one release and will then be removed.
-	DisableFastPath bool
 
 	Engine     engine.Config
 	Controller controller.Config
@@ -186,14 +173,11 @@ type Testbed struct {
 	cfg Config
 }
 
-func (c *Config) ssdConfig(env *sim.Env, i int) ssd.Config {
+func (c *Config) ssdConfig(i int) ssd.Config {
 	var sc ssd.Config
-	switch {
-	case c.SSDWithEnv != nil:
-		sc = c.SSDWithEnv(env, i)
-	case c.SSD != nil:
+	if c.SSD != nil {
 		sc = c.SSD(i)
-	default:
+	} else {
 		sc = ssd.P4510(fmt.Sprintf("PHLJ%04d", i))
 	}
 	sc.CaptureData = c.CaptureData
@@ -223,9 +207,6 @@ func newEnv(cfg *Config) *sim.Env {
 	if len(cfg.Faults) > 0 {
 		env.SetFaults(fault.New(cfg.Faults...))
 	}
-	if cfg.DisableFastPath {
-		env.SetFastPath(false)
-	}
 	return env
 }
 
@@ -243,7 +224,7 @@ func newSSDLink(env *sim.Env, lanes int, name string) *pcie.Link {
 // configuration is invalid or backend bring-up errors (which injected
 // faults can now force). Observability and fault wiring composes through
 // the variadic options (WithTrace, WithMetrics, WithTimeline, WithFaults,
-// WithClassicPath), applied to a copy of cfg in order.
+// WithCrashRecovery), applied to a copy of cfg in order.
 func NewBMStoreTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	cfg = cfg.With(opts...)
 	if err := cfg.Validate(); err != nil {
@@ -267,7 +248,7 @@ func NewBMStoreTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	tb.EnginePort = port
 
 	for i := 0; i < cfg.NumSSDs; i++ {
-		dev := ssd.New(env, cfg.ssdConfig(env, i))
+		dev := ssd.New(env, cfg.ssdConfig(i))
 		eng.AttachBackend(dev, newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)))
 		tb.SSDs = append(tb.SSDs, dev)
 	}
@@ -302,7 +283,7 @@ func NewDirectTestbed(cfg Config, opts ...Option) (*Testbed, error) {
 	h := host.New(env, cfg.MemSize, cfg.Kernel)
 	tb := &Testbed{Env: env, Host: h, cfg: cfg}
 	for i := 0; i < cfg.NumSSDs; i++ {
-		dev := ssd.New(env, cfg.ssdConfig(env, i))
+		dev := ssd.New(env, cfg.ssdConfig(i))
 		port := h.Connect(newSSDLink(env, cfg.SSDLinkLanes, fmt.Sprintf("ssd%d", i)), dev, nil)
 		dev.Attach(port)
 		tb.SSDs = append(tb.SSDs, dev)

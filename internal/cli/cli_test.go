@@ -81,7 +81,7 @@ func TestBinariesUseSharedFlagSurface(t *testing.T) {
 		}
 		// The acceptance criterion behind the redesign: no direct writes to
 		// the deprecated Config observability fields anywhere in cmd/.
-		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults =", ".DisableFastPath ="} {
+		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults ="} {
 			if strings.Contains(text, field) {
 				t.Errorf("%s: writes deprecated Config field %q directly; use bmstore.Option wiring", rel, strings.TrimSuffix(field, " ="))
 			}

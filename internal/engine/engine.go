@@ -5,6 +5,7 @@ import (
 
 	"bmstore/internal/fault"
 	"bmstore/internal/hostmem"
+	"bmstore/internal/nvme"
 	"bmstore/internal/obs"
 	"bmstore/internal/pcie"
 	"bmstore/internal/sim"
@@ -100,13 +101,10 @@ type Engine struct {
 	chip     *hostmem.Memory
 	free     []uint64 // recycled chip-memory pages for PRP lists
 
-	// fast is true when the rig is eligible for the event-fused I/O path
-	// (no tracer, no fault injector); cached at construction like tr/met.
-	fast bool
-	// Data-path free lists (see fastpath.go).
+	// Data-path free lists (see io.go).
 	feIOFree  []*feIO
 	feIRQFree []*feIRQ
-	pageFree  [][]byte
+	prpPages  nvme.PagePool
 
 	funcs    []*function
 	backends []*backend
@@ -133,7 +131,6 @@ func New(env *sim.Env, cfg Config) *Engine {
 		tr:       env.Tracer(),
 		met:      env.Metrics(),
 		flt:      env.Faults(),
-		fast:     env.FastPath(),
 		chip:     hostmem.New(cfg.ChipMemBytes),
 		Firmware: "BMS_1.0",
 	}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 
 	"bmstore/internal/nvme"
@@ -56,10 +55,8 @@ func TestQoSBufferFIFOOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		env.Go(fmt.Sprintf("cmd%d", i), func(p *sim.Proc) {
-			p.Sleep(sim.Time(i)) // deterministic arrival order
-			ns.admit(p, 4096)
-			order = append(order, i)
+		env.Schedule(sim.Time(i), func() { // deterministic arrival order
+			ns.admitCB(4096, func(any) { order = append(order, i) })
 		})
 	}
 	env.Run()

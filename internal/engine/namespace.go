@@ -153,13 +153,8 @@ func (ns *Namespace) SetQoS(l QoSLimits) {
 // Limits returns the current QoS limits.
 func (ns *Namespace) Limits() QoSLimits { return ns.qos.limits }
 
-// ssdSet returns the distinct backend indices this namespace touches.
-func (ns *Namespace) ssdSet() []int {
-	return ns.ssdSetInto(nil)
-}
-
-// ssdSetInto is ssdSet appending into a caller-provided slice (pass out[:0]
-// to reuse capacity on the I/O fast path).
+// ssdSetInto appends the distinct backend indices this namespace touches to
+// out (pass out[:0] to reuse its capacity).
 func (ns *Namespace) ssdSetInto(out []int) []int {
 	var seen [MaxSSDID + 1]bool
 	for _, c := range ns.chunks {
@@ -176,34 +171,10 @@ func (ns *Namespace) MappingEntries() []Entry {
 	return append([]Entry(nil), ns.chunks...)
 }
 
-// admit passes the command through the QoS threshold check; commands over
-// the limit join the namespace's command buffer and wait for the
-// dispatcher to re-admit them in FIFO order.
-func (ns *Namespace) admit(p *sim.Proc, nBytes int) {
-	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
-		return
-	}
-	if len(ns.buffer) == 0 {
-		if ok, _ := ns.qos.Admit(nBytes); ok {
-			return
-		}
-	}
-	be := ns.getBufEntry(ns.env.NewEvent(), nBytes)
-	ns.buffer = append(ns.buffer, be)
-	ns.mParked.Inc()
-	ns.mBuffered.Inc(ns.env.Now())
-	if !ns.dispatching {
-		ns.dispatching = true
-		ns.env.Go("engine/qos-dispatch", func(dp *sim.Proc) { ns.dispatch(dp) })
-	}
-	p.Wait(be.ev)
-}
-
-// admitCB is admit for callback-chain callers: cb runs at the program point
-// where admit would have returned — immediately on under-threshold commands,
-// or when the dispatcher re-admits the parked entry. The park path shares
-// the classic buffer and dispatcher process, so mixed classic/fast
-// submitters drain in the same FIFO order.
+// admitCB passes the command through the QoS threshold check: cb runs at
+// once on under-threshold commands; over-threshold commands join the
+// namespace's command buffer and cb runs when the dispatcher re-admits them,
+// in FIFO order.
 func (ns *Namespace) admitCB(nBytes int, cb func(val any)) {
 	if ns.qos.Unlimited() && len(ns.buffer) == 0 {
 		cb(nil)

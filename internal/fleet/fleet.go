@@ -101,8 +101,6 @@ type Options struct {
 	Traces *trace.Set
 	// Metrics optionally attaches a per-host registry family.
 	Metrics *obs.Set
-
-	DisableFastPath bool // force the classic data path on every host
 }
 
 func (o Options) withDefaults() Options {
@@ -308,9 +306,6 @@ func runHost(o Options, hostIdx int) HostResult {
 	}
 	if len(rules) > 0 {
 		opts = append(opts, bmstore.WithFaults(rules...))
-	}
-	if o.DisableFastPath {
-		opts = append(opts, bmstore.WithClassicPath())
 	}
 	if o.CrashRecovery != nil {
 		cfg.CaptureData = true

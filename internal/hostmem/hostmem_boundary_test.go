@@ -52,7 +52,7 @@ func TestWriteAtPageEdges(t *testing.T) {
 
 // TestReadZeroFillsHoles: a read crossing an untouched page must fully
 // overwrite the destination buffer — the sparse hole reads as zeros even
-// into a dirty buffer. The DMA fast path hands pooled (dirty) page buffers
+// into a dirty buffer. The data path hands pooled (dirty) page buffers
 // straight to Read and relies on exactly this.
 func TestReadZeroFillsHoles(t *testing.T) {
 	m := New(1 << 20)

@@ -1,6 +1,9 @@
 package nvme
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageSize is the memory page size assumed by the PRP mechanism (MPS=4K).
 const PageSize = 4096
@@ -136,6 +139,81 @@ func WalkPRPsInto(segs []Segment, r PageReader, prp1, prp2 uint64, n int) ([]Seg
 	}
 	return segs, nil
 }
+
+// PRPListCache resolves PRPs for a walker that cannot block mid-walk to
+// fetch a list page, such as a continuation-passing command pipeline. Walk
+// reads list pages only from the cache; when it needs one that is missing it
+// reports that page, the caller fetches it (same DMA, same wait as a
+// blocking reader), hands it over with Add, and walks again. The walk itself
+// takes no time and the fetches happen in walk order, so the DMA sequence is
+// the one a blocking reader would produce. The zero value is empty and
+// ready to use.
+type PRPListCache struct {
+	pages   []cachedPage
+	miss    uint64
+	missSet bool
+}
+
+type cachedPage struct {
+	addr uint64
+	b    []byte
+}
+
+// ReadU64 implements PageReader over the cached pages. A miss reads as zero
+// and records the first missing page for Walk to report.
+func (c *PRPListCache) ReadU64(addr uint64) uint64 {
+	pg := addr &^ uint64(PageSize-1)
+	for _, p := range c.pages {
+		if p.addr == pg {
+			return binary.LittleEndian.Uint64(p.b[addr-pg:])
+		}
+	}
+	if !c.missSet {
+		c.missSet = true
+		c.miss = pg
+	}
+	return 0
+}
+
+// Walk is WalkPRPsInto through the cache. need is true when the walk hit a
+// list page that is not cached; page is its address, and segs and err are
+// then meaningless until the page is added and the walk repeated.
+func (c *PRPListCache) Walk(segs []Segment, prp1, prp2 uint64, n int) (out []Segment, page uint64, need bool, err error) {
+	c.missSet = false
+	out, err = WalkPRPsInto(segs, c, prp1, prp2, n)
+	return out, c.miss, c.missSet, err
+}
+
+// Add caches the fetched list page at addr; b holds its PageSize bytes.
+func (c *PRPListCache) Add(addr uint64, b []byte) {
+	c.pages = append(c.pages, cachedPage{addr: addr, b: b})
+}
+
+// Release empties the cache, returning its page buffers to pool.
+func (c *PRPListCache) Release(pool *PagePool) {
+	for i, p := range c.pages {
+		pool.Put(p.b)
+		c.pages[i] = cachedPage{}
+	}
+	c.pages = c.pages[:0]
+}
+
+// PagePool recycles PageSize buffers for PRP list caches. The zero value is
+// an empty pool.
+type PagePool struct{ free [][]byte }
+
+// Get returns a page buffer, reusing a released one when available.
+func (p *PagePool) Get() []byte {
+	if n := len(p.free); n > 0 {
+		b := p.free[n-1]
+		p.free = p.free[:n-1]
+		return b
+	}
+	return make([]byte, PageSize)
+}
+
+// Put returns a page buffer to the pool.
+func (p *PagePool) Put(b []byte) { p.free = append(p.free, b) }
 
 // ListPagesFor returns how many PRP list pages a transfer of n bytes
 // starting at buf requires; 0 when PRP1(+PRP2) suffice.

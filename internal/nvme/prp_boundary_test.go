@@ -1,6 +1,7 @@
 package nvme
 
 import (
+	"reflect"
 	"testing"
 
 	"bmstore/internal/hostmem"
@@ -118,5 +119,74 @@ func TestWalkPRPChainCorruption(t *testing.T) {
 	mem.WriteU64(lists[1], 0)
 	if _, err := WalkPRPs(mem, p1, p2, n); err == nil {
 		t.Fatal("null PRP entry accepted")
+	}
+}
+
+// cacheWalk resolves PRPs through c the way the data path does: walk,
+// fetch the reported list page from mem, add it, walk again. It returns
+// the segments, the list pages in fetch order, and the walk error.
+func cacheWalk(c *PRPListCache, pool *PagePool, mem *hostmem.Memory, p1, p2 uint64, n int) ([]Segment, []uint64, error) {
+	var fetched []uint64
+	for {
+		segs, page, need, err := c.Walk(nil, p1, p2, n)
+		if !need {
+			return segs, fetched, err
+		}
+		b := pool.Get()
+		mem.Read(page, b)
+		c.Add(page, b)
+		fetched = append(fetched, page)
+	}
+}
+
+// TestPRPListCacheMatchesBlockingWalk: the retry walk yields exactly the
+// segments of a blocking WalkPRPs and fetches each list page once, in chain
+// order; Release returns every page to the pool for the next command.
+func TestPRPListCacheMatchesBlockingWalk(t *testing.T) {
+	var c PRPListCache
+	var pool PagePool
+	for _, pages := range []int{1, 2, 3, 64, 513, 514, 1100} {
+		mem := hostmem.New(64 << 20)
+		buf := mem.AllocPages(pages)
+		n := pages * PageSize
+		p1, p2, lists := BuildPRPs(mem, buf, n)
+		want, err := WalkPRPs(mem, p1, p2, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, fetched, err := cacheWalk(&c, &pool, mem, p1, p2, n)
+		if err != nil {
+			t.Fatalf("%d pages: %v", pages, err)
+		}
+		if !reflect.DeepEqual(segs, want) {
+			t.Fatalf("%d pages: cache walk %d segments, blocking walk %d", pages, len(segs), len(want))
+		}
+		if !reflect.DeepEqual(fetched, lists) {
+			t.Fatalf("%d pages: fetched list pages %#x, want %#x", pages, fetched, lists)
+		}
+		free := len(pool.free)
+		c.Release(&pool)
+		if got := len(pool.free) - free; got != len(lists) {
+			t.Fatalf("%d pages: Release returned %d pages, want %d", pages, got, len(lists))
+		}
+		if len(lists) > 0 {
+			if _, page, need, _ := c.Walk(nil, p1, p2, n); !need || page != lists[0] {
+				t.Fatalf("%d pages: released cache still resolved the list (need=%v page=%#x)", pages, need, page)
+			}
+		}
+	}
+}
+
+// TestPRPListCacheCorruptList: a list entry the walk rejects surfaces as
+// the walk error once every page it needs is cached.
+func TestPRPListCacheCorruptList(t *testing.T) {
+	mem := hostmem.New(1 << 20)
+	buf := mem.AllocPages(4)
+	p1, p2, lists := BuildPRPs(mem, buf, 4*PageSize)
+	mem.WriteU64(lists[0]+8, 0) // null second entry
+	var c PRPListCache
+	var pool PagePool
+	if _, fetched, err := cacheWalk(&c, &pool, mem, p1, p2, 4*PageSize); err == nil || len(fetched) != 1 {
+		t.Fatalf("corrupt list: err=%v after %d fetches", err, len(fetched))
 	}
 }

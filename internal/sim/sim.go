@@ -54,11 +54,6 @@ type Env struct {
 	tracer  *trace.Tracer
 	faults  *fault.Injector
 
-	// fastOK enables the data-path fast path (see FastPath). It defaults
-	// to true and exists so A/B tests and CLIs can force the classic
-	// process-based path on an otherwise eligible environment.
-	fastOK bool
-
 	// nEvents counts queue entries fired since the environment was
 	// created. It is always maintained (one add per event) so the host
 	// driver can report events-per-I/O without a metrics registry.
@@ -83,34 +78,11 @@ type Env struct {
 // The seed feeds the per-name deterministic streams returned by Rand.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield:  make(chan struct{}),
-		live:   make(map[*Proc]struct{}),
-		seed:   seed,
-		fastOK: true,
+		yield: make(chan struct{}),
+		live:  make(map[*Proc]struct{}),
+		seed:  seed,
 	}
 }
-
-// SetFastPath enables or disables the event-fused I/O fast path on an
-// otherwise eligible environment. Like the observers, components consult
-// FastPath at construction time, so call this before building anything on
-// the environment. The fast path never changes virtual-time behaviour —
-// disabling it exists for A/B verification of exactly that property.
-func (e *Env) SetFastPath(on bool) { e.fastOK = on }
-
-// FastPath reports whether data-path components may use their fused
-// callback-chain fast path instead of spawning a process per command. It is
-// false only when a tracer or a fault injector is attached: the fast path
-// is hop-for-hop timing-identical to the classic path but emits no
-// spawn/resume trace records, so traced (digest) runs and faulted runs take
-// the classic path and stay byte-identical to their committed artifacts.
-//
-// A metrics registry — including sampled request timelines and worst-K tail
-// forensics (obs.Options.Timeline) — deliberately does NOT gate the fast
-// path: observation is passive (never schedules events), both paths carry
-// the same instrumentation points, and the always-on telemetry contract is
-// that we can observe the exact configuration we benchmark. The A/B
-// equivalence tests in fastpath_metrics_ab_test.go pin this down.
-func (e *Env) FastPath() bool { return e.fastOK && e.tracer == nil && e.faults == nil }
 
 // Events returns the number of queue entries fired so far — the kernel-level
 // cost measure behind the driver's events-per-I/O accounting.

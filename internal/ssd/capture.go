@@ -20,7 +20,8 @@ func (d *SSD) CaptureRead(nsid uint32, slba uint64, nlb uint32) []byte {
 	if ns == nil {
 		return nil
 	}
-	return d.readBytes((ns.startLBA+slba)*BlockSize, int(nlb)*BlockSize)
+	n := int(nlb) * BlockSize
+	return d.readBytesInto(make([]byte, n), (ns.startLBA+slba)*BlockSize, n)
 }
 
 // CaptureWrite stores data (len = nlb blocks) at slba in namespace nsid.
@@ -46,4 +47,54 @@ func (d *SSD) CaptureZero(nsid uint32, slba uint64, nlb uint32) {
 		return
 	}
 	d.zeroBlocks(ns.startLBA+slba, uint64(nlb))
+}
+
+// --- sparse data store (byte-granular over 4K blocks) ---
+
+// readBytesInto copies n bytes at device byte start into out (len(out) ==
+// n), zeroing it first so sparse unwritten ranges read back as zeroes. The
+// data path reuses one staging buffer per in-flight command with it.
+func (d *SSD) readBytesInto(out []byte, start uint64, n int) []byte {
+	for i := range out {
+		out[i] = 0
+	}
+	var off int
+	for off < n {
+		lba := (start + uint64(off)) / BlockSize
+		in := int((start + uint64(off)) % BlockSize)
+		l := BlockSize - in
+		if l > n-off {
+			l = n - off
+		}
+		if blk := d.store[lba]; blk != nil {
+			copy(out[off:off+l], blk[in:])
+		}
+		off += l
+	}
+	return out
+}
+
+func (d *SSD) writeBytes(start uint64, data []byte) {
+	var off int
+	for off < len(data) {
+		lba := (start + uint64(off)) / BlockSize
+		in := int((start + uint64(off)) % BlockSize)
+		l := BlockSize - in
+		if l > len(data)-off {
+			l = len(data) - off
+		}
+		blk := d.store[lba]
+		if blk == nil {
+			blk = make([]byte, BlockSize)
+			d.store[lba] = blk
+		}
+		copy(blk[in:in+l], data[off:off+l])
+		off += l
+	}
+}
+
+func (d *SSD) zeroBlocks(lba, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		delete(d.store, lba+i)
+	}
 }

@@ -62,21 +62,6 @@ type Config struct {
 	CaptureData bool
 
 	MaxNamespaces int
-
-	// Media, when non-nil, replaces the flash timing model (die pool,
-	// cache, pacers) with an arbitrary storage medium — the hook behind
-	// §VI-A's SATA-HDD compatibility: the device keeps its NVMe face, the
-	// medium underneath changes (see internal/sata).
-	Media Media
-}
-
-// Media abstracts the storage medium's timing. Implementations block the
-// calling process for the duration of the media operation; data movement
-// and protocol handling stay in the device.
-type Media interface {
-	Read(p *sim.Proc, startByte uint64, n int)
-	Write(p *sim.Proc, startByte uint64, n int)
-	Flush(p *sim.Proc)
 }
 
 // P4510 returns a configuration calibrated against the paper's measured
@@ -129,7 +114,7 @@ type subQueue struct {
 	head     uint32
 	tail     uint32
 	fetching bool
-	fs       *sqFetch // fast-path fetch state machine (nil until first use)
+	fs       *sqFetch // I/O fetch state machine (nil until first use)
 }
 
 type compQueue struct {
@@ -178,15 +163,11 @@ type SSD struct {
 	onReady   []func()
 	jitterRng *rand.Rand
 
-	// fast enables the fused I/O path (fastpath.go): no tracer, no fault
-	// injector, built-in flash model. Cached at construction like the
-	// other observers. The free lists below pool the fast path's command
-	// records, NAND stripe records, PRP list pages, and the (classic-path
-	// too) deferred interrupt posts.
-	fast        bool
+	// Data-path free lists (io.go): command records, NAND stripe records,
+	// PRP list pages, and deferred interrupt posts.
 	ioFree      []*ssdIO
 	stripeFree  []*nandStripe
-	pageFree    [][]byte
+	prpPages    nvme.PagePool
 	irqPostFree []*irqPost
 	// cqeBuf is the CQE encode scratch: DMAWrite copies synchronously into
 	// host memory, so one reusable buffer replaces a per-CQE escape.
@@ -229,7 +210,6 @@ func New(env *sim.Env, cfg Config) *SSD {
 		fwActive:   cfg.Firmware,
 		store:      make(map[uint64][]byte),
 		jitterRng:  env.Rand("ssd/jitter/" + cfg.Serial),
-		fast:       env.FastPath() && cfg.Media == nil,
 	}
 	if d.met = env.Metrics(); d.met != nil {
 		d.tl = d.met.TimelineEnabled()
@@ -365,24 +345,22 @@ func (d *SSD) doorbell(qid uint16, isCQ bool, val uint32) {
 	sq.tail = val % sq.ring.Entries
 	if !sq.fetching {
 		sq.fetching = true
-		if d.fast && qid != 0 {
-			// Fused fetch: starts one queue hop from now — the position of
-			// the classic fetch process's start event.
-			if sq.fs == nil {
-				sq.fs = newSQFetch(d, sq)
-			}
-			d.env.Schedule(0, sq.fs.stepFn)
+		if qid == 0 {
+			d.env.Go(fmt.Sprintf("ssd/%s/sq0", d.cfg.Serial), func(p *sim.Proc) {
+				d.fetchLoop(p, sq)
+			})
 			return
 		}
-		d.env.Go(fmt.Sprintf("ssd/%s/sq%d", d.cfg.Serial, qid), func(p *sim.Proc) {
-			d.fetchLoop(p, sq)
-		})
+		// I/O fetch (io.go) starts one queue hop from now.
+		if sq.fs == nil {
+			sq.fs = newSQFetch(d, sq)
+		}
+		d.env.Schedule(0, sq.fs.stepFn)
 	}
 }
 
-// fetchLoop drains one submission queue: it DMA-reads SQEs in arrival order
-// and spawns one execution process per command, preserving the paper's
-// pipeline (fetch is sequential per queue; execution is parallel).
+// fetchLoop drains the admin submission queue: it DMA-reads SQEs in arrival
+// order and spawns one process per admin command.
 func (d *SSD) fetchLoop(p *sim.Proc, sq *subQueue) {
 	defer func() { sq.fetching = false }()
 	for sq.head != sq.tail {
@@ -414,15 +392,8 @@ func (d *SSD) fetchLoop(p *sim.Proc, sq *subQueue) {
 }
 
 func (d *SSD) exec(p *sim.Proc, sq *subQueue, cmd nvme.Command, sqHead uint32) {
-	var cpl nvme.Completion
-	cpl.CID = cmd.CID
-	cpl.SQID = sq.id
-	cpl.SQHead = uint16(sqHead)
-	if sq.id == 0 {
-		cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
-	} else {
-		cpl.Status = d.execIO(p, sq.id, cmd)
-	}
+	cpl := nvme.Completion{CID: cmd.CID, SQID: sq.id, SQHead: uint16(sqHead)}
+	cpl.DW0, cpl.Status = d.execAdmin(p, cmd)
 	d.postCQE(sq.cqid, cpl)
 }
 
@@ -452,8 +423,7 @@ func (d *SSD) postCQE(cqid uint16, cpl nvme.Completion) {
 }
 
 // irqPost is a pooled deferred interrupt: the completion-side replacement
-// for a per-CQE closure. It is used by classic and fast paths alike — the
-// Schedule push position is unchanged, so it is trace-neutral.
+// for a per-CQE closure.
 type irqPost struct {
 	d   *SSD
 	vec int

@@ -1,8 +1,7 @@
 // GOMAXPROCS invariance: the schedulers beneath the worker pool must never
 // leak into simulation results. The traced sweep pins the digest and the
-// rendered tables; an untraced sweep of the same cells pins the event-fused
-// fast path (tracing forces the classic path, so only the untraced leg
-// executes the fused code).
+// rendered tables; an untraced sweep of the same cells pins that attaching
+// the tracer changes no simulated result.
 package trace_test
 
 import (
@@ -14,8 +13,8 @@ import (
 )
 
 // untracedSweep runs the same representative subset as sweep() with no
-// tracer attached — the fast-path configuration — and returns the rendered
-// tables plus the fidelity JSON export.
+// tracer attached — the benchmarked configuration — and returns the
+// rendered tables plus the fidelity JSON export.
 func untracedSweep(parallel int) (string, string) {
 	h := experiments.NewHarness(tinyScale(), parallel, nil)
 	pick := map[string]bool{"fig1": true, "fig12": true, "fig13a": true, "abl-zerocopy": true, "abl-qos": true}
@@ -46,20 +45,20 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct {
-		procs              int
-		tabs, json, digest string
-		fastTabs, fastJSON string
+		procs                      int
+		tabs, json, digest         string
+		untracedTabs, untracedJSON string
 	}
 	var runs []run
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		tabs, json, _, digest := sweep(4)
-		fastTabs, fastJSON := untracedSweep(4)
-		runs = append(runs, run{procs, tabs, json, digest, fastTabs, fastJSON})
+		untracedTabs, untracedJSON := untracedSweep(4)
+		runs = append(runs, run{procs, tabs, json, digest, untracedTabs, untracedJSON})
 	}
 	base := runs[0]
-	if base.tabs != base.fastTabs {
-		t.Error("fast-path tables differ from traced (classic-path) tables at GOMAXPROCS=1")
+	if base.tabs != base.untracedTabs {
+		t.Error("untraced tables differ from traced tables at GOMAXPROCS=1")
 	}
 	for _, r := range runs[1:] {
 		if r.tabs != base.tabs {
@@ -71,12 +70,12 @@ func TestDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		if r.digest != base.digest {
 			t.Errorf("GOMAXPROCS=%d: combined digest %s != %s at GOMAXPROCS=%d", r.procs, r.digest, base.digest, base.procs)
 		}
-		if r.fastTabs != base.fastTabs {
-			t.Errorf("GOMAXPROCS=%d: fast-path tables differ from GOMAXPROCS=%d", r.procs, base.procs)
+		if r.untracedTabs != base.untracedTabs {
+			t.Errorf("GOMAXPROCS=%d: untraced tables differ from GOMAXPROCS=%d", r.procs, base.procs)
 		}
-		if r.fastJSON != base.fastJSON {
-			t.Errorf("GOMAXPROCS=%d: fast-path JSON differs from GOMAXPROCS=%d", r.procs, base.procs)
+		if r.untracedJSON != base.untracedJSON {
+			t.Errorf("GOMAXPROCS=%d: untraced JSON differs from GOMAXPROCS=%d", r.procs, base.procs)
 		}
 	}
-	t.Logf("digest %s stable across GOMAXPROCS 1/2/8, fast == classic", base.digest)
+	t.Logf("digest %s stable across GOMAXPROCS 1/2/8, untraced == traced tables", base.digest)
 }

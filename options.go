@@ -11,9 +11,9 @@ import (
 // Option composes observability and fault wiring onto a Config at testbed
 // construction: NewBMStoreTestbed(cfg, WithTrace(tr), WithFaults(rules...))
 // replaces poking the deprecated Config.Tracer / Config.Metrics /
-// Config.Faults / Config.DisableFastPath fields directly. Options apply in
-// order, so a later option can override an earlier one; the struct fields
-// keep delegating for one release and are then removed.
+// Config.Faults fields directly. Options apply in order, so a later option
+// can override an earlier one; the struct fields keep delegating for one
+// release and are then removed.
 type Option func(*Config)
 
 // With returns a copy of the configuration with opts applied. The
@@ -73,12 +73,4 @@ func WithTimeline(tc timeline.Config) Option {
 // rejects the combination.
 func WithCrashRecovery(cc crash.Config) Option {
 	return func(c *Config) { c.CrashRecovery = &cc }
-}
-
-// WithClassicPath forces the classic process-per-command data path even on
-// rigs with no tracer or fault injector. The event-fused fast path is
-// timing-neutral by construction (see DESIGN.md §11), so this exists for
-// A/B verification and debugging, not correctness.
-func WithClassicPath() Option {
-	return func(c *Config) { c.DisableFastPath = true }
 }

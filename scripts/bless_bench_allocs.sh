@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 baseline=scripts/bench_allocs_baseline.txt
 sim=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
-io=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|SampledTimeline)$' -benchtime=1000x -benchmem .)
+io=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|DigestTraced|SampledTimeline)$' -benchtime=1000x -benchmem .)
 
 {
 	cat <<'EOF'
@@ -17,13 +17,15 @@ io=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|SampledTimeline)$' -b
 # scripts/check_bench_allocs.sh (make bench-gate, CI).
 #
 # The event free-list and the Schedule callback fast path make the kernel's
-# steady state allocation-free, and the fused I/O path pools every carrier
+# steady state allocation-free, and the I/O data path pools every carrier
 # (commands, CQEs, IRQ posts, PRP segments), so the end-to-end
-# BenchmarkIOPathThroughput is pinned at 0 allocs/op too — and so is its
-# always-on-telemetry variant BenchmarkIOPathSampledTimeline, where every
-# request carries a pooled timeline and 1-in-64 are retained. At the gate's
-# short benchtimes one-time warm-up (proc stacks, free-list priming) still
-# shows through for the process benchmark: 101 B/op rounds to 1 alloc/op.
+# BenchmarkIOPathThroughput is pinned at 0 allocs/op too — and so are its
+# digest-traced variant BenchmarkIOPathDigestTraced, the configuration the
+# determinism and figures gates run, and its always-on-telemetry variant
+# BenchmarkIOPathSampledTimeline, where every request carries a pooled
+# timeline and 1-in-64 are retained. At the gate's short benchtimes one-time
+# warm-up (proc stacks, free-list priming) still shows through for the
+# process benchmark: 101 B/op rounds to 1 alloc/op.
 # Raising these numbers needs a written justification; regenerate with
 # `make bench-baseline`.
 EOF

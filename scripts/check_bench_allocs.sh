@@ -3,10 +3,10 @@
 #
 # Runs the kernel scheduler throughput benchmarks (internal/sim) and the
 # end-to-end I/O path benchmarks (BenchmarkIOPathThroughput and its
-# sampled-timeline variant BenchmarkIOPathSampledTimeline, root package)
+# digest-traced and sampled-timeline variants, root package)
 # with -benchmem and compares each benchmark's allocs/op against the
 # committed baseline in scripts/bench_allocs_baseline.txt. The kernel
-# free-lists events, the fused data path pools every per-command carrier,
+# free-lists events, the data path pools every per-command carrier,
 # and the Schedule fast path allocates nothing, so the baselines are 0
 # allocs/op; any change that reintroduces a per-event or per-I/O allocation
 # fails this gate. Re-bless intentional changes with `make bench-baseline`.
@@ -22,7 +22,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_allocs_baseline.txt
 out=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
 out+=$'\n'
-out+=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|SampledTimeline)$' -benchtime=1000x -benchmem .)
+out+=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|DigestTraced|SampledTimeline)$' -benchtime=1000x -benchmem .)
 echo "$out"
 
 status=0
