@@ -86,8 +86,13 @@ crash-smoke:
 # root `go test ./...` does not reach them): the simulated-result oracle on
 # every committed seed and the held-out seed, fused == digest-traced
 # results, sliced == one-shot run digests, and the layer-accounting checks.
+# Like perfbench/run.sh it builds with -mod=mod, so a perfbench/go.mod whose
+# `go` line trails the root module's still builds; -modfile points that
+# rewrite at a temporary copy, leaving perfbench/ untouched.
 perfbench-test:
-	cd perfbench && $(GO) test .
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	cp perfbench/go.mod "$$tmp/go.mod" && \
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test -modfile="$$tmp/go.mod" .
 
 # One iteration of every benchmark — catches bit-rot in benchmark code and
 # gives a cheap overhead spot-check without a full measurement run.

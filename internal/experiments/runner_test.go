@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"bmstore/internal/sim"
 )
 
 func TestPoolDefaultWorkers(t *testing.T) {
@@ -80,6 +82,42 @@ func TestPoolPanicPropagation(t *testing.T) {
 				if i == 3 || i == 7 {
 					panic(fmt.Sprintf("boom-%d", i))
 				}
+			})
+		}()
+		for i, c := range ran {
+			if c != 1 {
+				t.Fatalf("workers=%d: job %d ran %d times despite sibling panic", workers, i, c)
+			}
+		}
+	}
+}
+
+// A panic inside a simulation process surfaces on the goroutine that called
+// Run, which is the pool job, so it is re-raised exactly like a panic in
+// cell code: the lowest-indexed failure wins, whatever the worker count.
+func TestPoolProcessPanicPropagation(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var ran [8]int32
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				want := `job 2 panicked: sim: process "cell-2" panicked: boom-2`
+				if !strings.Contains(msg, want) {
+					t.Fatalf("workers=%d: panic %q, want %q", workers, msg, want)
+				}
+			}()
+			NewPool(workers).Each(len(ran), func(i int) {
+				atomic.AddInt32(&ran[i], 1)
+				env := sim.NewEnv(int64(i))
+				env.Go(fmt.Sprintf("cell-%d", i), func(p *sim.Proc) {
+					// Later cells fail first in virtual time and, with
+					// several workers, usually in wall time too.
+					p.Sleep(sim.Time(len(ran) - i))
+					if i == 2 || i == 5 {
+						panic(fmt.Sprintf("boom-%d", i))
+					}
+				})
+				env.Run()
 			})
 		}()
 		for i, c := range ran {

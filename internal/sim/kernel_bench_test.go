@@ -71,9 +71,33 @@ func BenchmarkSchedulerMetricsOnThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessSpawnThroughput measures a process lifecycle: spawn, the
+// start event, one run of the function to completion, and the Done event.
+// Processes are spawned in batches so the live set stays small, the way
+// per-request processes come and go in a rig. One op is one process.
+func BenchmarkProcessSpawnThroughput(b *testing.B) {
+	const batch = 64
+	env := NewEnv(1)
+	noop := func(*Proc) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.Go("worker", noop)
+		if i%batch == batch-1 {
+			env.Run()
+		}
+	}
+	env.Run()
+	b.StopTimer()
+	if n := env.Blocked(); n != 0 {
+		b.Fatalf("%d processes still live", n)
+	}
+}
+
 // BenchmarkProcessSleepThroughput measures the per-event cost when every
-// event resumes a blocked process: the goroutine-handoff path plus the
-// timeout-event machinery behind Proc.Sleep. One op is one completed sleep.
+// event resumes a blocked process: the coroutine switch into and out of the
+// process plus the timeout-event machinery behind Proc.Sleep. One op is one
+// completed sleep.
 func BenchmarkProcessSleepThroughput(b *testing.B) {
 	const procs = 16
 	env := NewEnv(1)

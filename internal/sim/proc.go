@@ -4,12 +4,18 @@ package sim
 // by blocking on events. All Proc methods must be called from within the
 // process's own function.
 type Proc struct {
-	env    *Env
-	id     uint64 // spawn sequence number; orders deterministic shutdown
-	name   string
-	resume chan resumeMsg
-	done   bool
-	doneEv *Event
+	env  *Env
+	id   uint64 // spawn sequence number; orders deterministic shutdown
+	name string
+	// next switches into the process's coroutine and suspend switches back
+	// out: the two halves of one iter.Pull pair. msg carries the resume
+	// message across the switch. Both funcs are cleared when the process
+	// finishes, so a retained *Proc does not keep fn's captures alive.
+	next    func() (struct{}, bool)
+	suspend func(struct{}) bool
+	msg     resumeMsg
+	done    bool
+	doneEv  *Event
 }
 
 // Name returns the process name given to Go.
@@ -24,10 +30,13 @@ func (p *Proc) Done() *Event { return p.doneEv }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// yield hands control back to the scheduler and blocks until resumed.
+// yield switches from the process's coroutine back to the scheduler and
+// returns the message of the next resume. The switch is a direct coroutine
+// transfer on the scheduler's thread, with no run-queue round trip.
 func (p *Proc) yield() resumeMsg {
-	p.env.yield <- struct{}{}
-	m := <-p.resume
+	p.suspend(struct{}{})
+	m := p.msg
+	p.msg = resumeMsg{} // drop the event value; it is the caller's now
 	if m.abort {
 		panic(errAborted)
 	}

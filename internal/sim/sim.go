@@ -4,11 +4,17 @@
 // virtual time, so microsecond-scale device behaviour can be reproduced
 // faithfully regardless of host speed.
 //
-// Concurrency model: simulation processes are goroutines, but exactly one
-// goroutine (either the scheduler or a single process) runs at any moment.
-// Control is handed off explicitly through channels, so simulation state
-// never needs locking and event ordering is fully deterministic: events fire
-// in (time, sequence) order.
+// Concurrency model: simulation processes are runtime coroutines built with
+// iter.Pull. The scheduler switches into a process when one of its events
+// fires, and the process switches back when it blocks or returns; the
+// transfer is direct, on the scheduler's own thread, so exactly one of them
+// runs at any moment. Simulation state never needs locking and event
+// ordering is fully deterministic: events fire in (time, sequence) order.
+//
+// Because a process runs as a coroutine of whoever called Run, a process
+// that panics re-panics on that caller (as "sim: process %q panicked: ..."),
+// and a process that calls runtime.Goexit (t.Fatal, for one) exits the
+// caller's goroutine too, after the process's Done event has been marked.
 //
 // An Env is strictly single-threaded; parallelism in this codebase lives
 // *between* environments, never inside one. Independent rigs each own an Env
@@ -19,6 +25,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 
 	"bmstore/internal/fault"
@@ -46,8 +53,7 @@ type Env struct {
 	queue eventQueue
 	seq   uint64
 
-	yield chan struct{} // signalled by a process when it blocks or exits
-	live  map[*Proc]struct{}
+	live map[*Proc]struct{}
 
 	seed    int64
 	procSeq uint64
@@ -78,9 +84,8 @@ type Env struct {
 // The seed feeds the per-name deterministic streams returned by Rand.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-		seed:  seed,
+		live: make(map[*Proc]struct{}),
+		seed: seed,
 	}
 }
 
@@ -407,14 +412,16 @@ type resumeMsg struct {
 	abort bool
 }
 
-// resume hands control to process p and blocks until it yields back.
+// resume switches into process p's coroutine with message m and returns
+// when p blocks again or finishes. A panic or runtime.Goexit inside p
+// propagates out of this call to the goroutine driving the scheduler.
 func (e *Env) resume(p *Proc, m resumeMsg) {
 	e.cResumes.Inc()
 	if e.tracer != nil && !m.abort {
 		e.tracer.Emit(e.now, "sim", "resume", p.id, 0, p.name)
 	}
-	p.resume <- m
-	<-e.yield
+	p.msg = m
+	p.next()
 }
 
 // Blocked reports how many processes are alive but currently blocked. After
@@ -424,7 +431,8 @@ func (e *Env) Blocked() int { return len(e.live) }
 
 // Shutdown aborts every live process: each blocked process's wait panics
 // with an internal sentinel that the process wrapper recovers. Use it in
-// tests to avoid goroutine leaks from server-style processes. Processes are
+// tests to release server-style processes: a blocked process's coroutine
+// holds a parked goroutine until it finishes. Processes are
 // unwound in spawn order, so shutdown — like everything else on the
 // environment — is deterministic and safe to include in a trace digest.
 func (e *Env) Shutdown() {
@@ -457,7 +465,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		env:    e,
 		id:     e.procSeq,
 		name:   name,
-		resume: make(chan resumeMsg),
 		doneEv: e.NewEvent(),
 	}
 	e.live[p] = struct{}{}
@@ -465,21 +472,24 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.tracer != nil {
 		e.tracer.Emit(e.now, "sim", "spawn", p.id, 0, name)
 	}
-	go func() {
-		m := <-p.resume // wait for first activation
-		// The completion handoff runs as a deferred function so that it
-		// also happens when fn exits via runtime.Goexit — notably when a
-		// test calls t.Fatal from inside a simulation process. Without it
-		// the scheduler would wait forever for the yield.
+	p.next, _ = iter.Pull(func(suspend func(struct{}) bool) {
+		p.suspend = suspend
+		start := p.msg // the first activation
+		p.msg = resumeMsg{}
+		// Completion runs as a deferred function so that it also happens
+		// when fn panics or exits via runtime.Goexit (t.Fatal inside a
+		// process): the process is marked done and its Done event
+		// triggered before the panic or Goexit propagates out of the
+		// scheduler's resume call to the goroutine that called Run.
 		defer func() {
 			p.done = true
 			delete(e.live, p)
-			if !m.abort {
+			if !start.abort {
 				p.doneEv.Trigger(nil)
 			}
-			e.yield <- struct{}{}
+			p.next, p.suspend = nil, nil // release fn's captures
 		}()
-		if !m.abort {
+		if !start.abort {
 			defer func() {
 				if r := recover(); r != nil && r != errAborted {
 					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
@@ -487,7 +497,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 			}()
 			fn(p)
 		}
-	}()
+	})
 	// Activate via a zero-delay pooled event so start order is deterministic.
 	start := e.pooledEvent()
 	start.waiters = append(start.waiters, p)
