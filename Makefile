@@ -99,9 +99,10 @@ perfbench-test:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
-# Alloc-regression gate: the kernel throughput benchmarks AND the
-# end-to-end I/O path benchmark must stay at the committed allocs/op
-# baseline (scripts/bench_allocs_baseline.txt).
+# Alloc-regression gate: the kernel throughput benchmarks, the end-to-end
+# I/O path benchmarks and the application benchmarks (a minidb transaction,
+# a kvstore put+get) must stay at the committed allocs/op baseline
+# (scripts/bench_allocs_baseline.txt).
 bench-gate:
 	bash scripts/check_bench_allocs.sh
 

@@ -139,8 +139,8 @@ func realMain() int {
 
 	// The shared wiring: per-rig trace and metrics families, parsed fault
 	// schedule, trace dump destination. Every rig — sweep cell or fleet
-	// host — is configured through Run's bmstore.Option slices; nothing
-	// below writes the deprecated Config observability fields.
+	// host — is configured through Run's bmstore.Option slices, the only
+	// way to attach observers and faults to a Config.
 	run, err := ropts.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -25,8 +25,7 @@ type Scenario struct {
 // virtual timestamp — two runs behaved identically iff their digests match.
 func (s Scenario) TraceDigest() (digest string, events uint64) {
 	tr := trace.NewDigest()
-	cfg := s.Config
-	cfg.Tracer = tr
+	cfg := s.Config.With(WithTrace(tr))
 	var tb *Testbed
 	var err error
 	if s.Direct {

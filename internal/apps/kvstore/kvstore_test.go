@@ -20,7 +20,7 @@ type rig struct {
 	drv *host.Driver
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	env := sim.NewEnv(21)
 	h := host.New(env, 768<<30, host.CentOS("3.10.0"))
@@ -44,7 +44,7 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	main := r.env.Go("test", fn)
 	r.env.RunUntilEvent(main.Done())

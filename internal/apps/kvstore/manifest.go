@@ -54,13 +54,13 @@ func (s *Store) writeManifest(p *sim.Proc) error {
 	if len(doc)+16 > manifestBlocks*bs {
 		return fmt.Errorf("kvstore: manifest too large (%d bytes)", len(doc))
 	}
-	buf := make([]byte, manifestBlocks*bs)
+	used := (16 + len(doc) + bs - 1) / bs
+	buf := make([]byte, used*bs)
 	binary.LittleEndian.PutUint32(buf[0:], manifestMagic)
 	binary.LittleEndian.PutUint32(buf[4:], uint32(len(doc)))
 	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(doc))
 	copy(buf[16:], doc)
-	used := (16 + len(doc) + bs - 1) / bs
-	if err := s.dev.WriteAt(p, 0, uint32(used), buf[:used*bs]); err != nil {
+	if err := s.dev.WriteAt(p, 0, uint32(used), buf); err != nil {
 		return err
 	}
 	return s.dev.Flush(p)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"sort"
 
@@ -41,44 +42,36 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	bs := s.cfg.BlockBytes
 	t := &table{s: s}
 
-	// Build data blocks.
-	var blocksBuf []byte
-	cur := make([]byte, 0, bs)
-	flushBlock := func() {
-		if len(cur) == 0 {
-			return
-		}
-		pad := make([]byte, bs-len(cur))
-		blocksBuf = append(blocksBuf, cur...)
-		blocksBuf = append(blocksBuf, pad...)
-		cur = cur[:0]
-	}
+	// Data blocks, then the index + bloom metadata (read back only on
+	// open), each zero-padded to whole table blocks. cur is the fill of
+	// the data block being built at the end of all.
+	var all []byte
+	cur := 0
 	t.bloom = newBloom(len(kvs), s.cfg.BloomBitsPerKey)
 	for _, kv := range kvs {
-		rec := encodeRecord(0, kv.Key, kv.Value)
-		if len(cur)+len(rec) > bs && len(cur) > 0 {
-			flushBlock()
+		n := walRecordHeader + len(kv.Key) + len(kv.Value)
+		if cur+n > bs && cur > 0 {
+			all = padBlocks(all, bs)
+			cur = 0
 		}
-		if len(rec) > bs {
-			return nil, fmt.Errorf("kvstore: record larger than table block (%d > %d)", len(rec), bs)
+		if n > bs {
+			return nil, fmt.Errorf("kvstore: record larger than table block (%d > %d)", n, bs)
 		}
-		if len(cur) == 0 {
+		if cur == 0 {
 			t.blockFirstKey = append(t.blockFirstKey, append([]byte(nil), kv.Key...))
 		}
-		cur = append(cur, rec...)
+		all = appendRecord(all, 0, kv.Key, kv.Value)
+		cur += n
 		t.bloom.add(kv.Key)
-		t.dataBytes += len(rec)
+		t.dataBytes += n
 	}
-	flushBlock()
-	t.nDataBlocks = len(blocksBuf) / bs
+	all = padBlocks(all, bs)
+	t.nDataBlocks = len(all) / bs
 	t.entries = len(kvs)
 	t.minKey = append([]byte(nil), kvs[0].Key...)
 	t.maxKey = append([]byte(nil), kvs[len(kvs)-1].Key...)
-
-	// Index + bloom serialised after the data (read back only on open).
-	meta := encodeMeta(t)
-	metaBlocks := (len(meta) + bs - 1) / bs
-	meta = append(meta, make([]byte, metaBlocks*bs-len(meta))...)
+	all = padBlocks(appendMeta(all, t), bs)
+	metaBlocks := len(all)/bs - t.nDataBlocks
 
 	devBS := s.dev.BlockSize()
 	perTB := bs / devBS
@@ -91,7 +84,6 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	t.blocks = totalDevBlocks
 
 	// Write sequentially in 256K chunks (compaction/flush I/O pattern).
-	all := append(blocksBuf, meta...)
 	const chunk = 256 << 10
 	for off := 0; off < len(all); off += chunk {
 		end := off + chunk
@@ -109,23 +101,16 @@ func (s *Store) writeTable(p *sim.Proc, kvs []KV) (*table, error) {
 	return t, nil
 }
 
-// encodeMeta serialises the index and bloom filter.
-func encodeMeta(t *table) []byte {
-	var b []byte
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(t.blockFirstKey)))
-	b = append(b, tmp[:4]...)
+// appendMeta serialises the index and bloom filter onto b.
+func appendMeta(b []byte, t *table) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.blockFirstKey)))
 	for _, k := range t.blockFirstKey {
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(len(k)))
-		b = append(b, tmp[:4]...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
 		b = append(b, k...)
 	}
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(t.bloom.bits)))
-	b = append(b, tmp[:4]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(t.bloom.bits)))
 	b = append(b, t.bloom.bits...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(t.bloom.k))
-	b = append(b, tmp[:4]...)
-	return b
+	return binary.LittleEndian.AppendUint32(b, uint32(t.bloom.k))
 }
 
 // readDataBlock fetches data block i (one table block) from the device.
@@ -160,16 +145,44 @@ func (t *table) get(p *sim.Proc, key []byte) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	for _, kv := range decodeBlock(blk) {
-		c := bytes.Compare(kv.Key, key)
+	v, ok := lookupRecord(blk, key)
+	return v, ok, nil
+}
+
+// lookupRecord finds key among the records of one data block without
+// decoding the others. It walks the records in place and stops where
+// decodeRecords would (the same validity and CRC checks, in the same
+// order) or at the first larger key. Only the matching value is copied;
+// an empty value and a tombstone both come back as nil, found.
+func lookupRecord(b, key []byte) ([]byte, bool) {
+	off := 0
+	for off+walRecordHeader <= len(b) {
+		crc := binary.LittleEndian.Uint32(b[off:])
+		klen := binary.LittleEndian.Uint32(b[off+12:])
+		vlen := binary.LittleEndian.Uint32(b[off+16:])
+		tomb := vlen == 0xFFFFFFFF
+		if tomb {
+			vlen = 0
+		}
+		if klen == 0 || klen > 1<<20 || vlen > 1<<24 ||
+			off+walRecordHeader+int(klen)+int(vlen) > len(b) {
+			break
+		}
+		kend := off + walRecordHeader + int(klen)
+		end := kend + int(vlen)
+		if crc32.ChecksumIEEE(b[off+4:end]) != crc {
+			break
+		}
+		c := bytes.Compare(b[off+walRecordHeader:kend], key)
 		if c == 0 {
-			return kv.Value, true, nil
+			return append([]byte(nil), b[kend:end]...), true
 		}
 		if c > 0 {
 			break
 		}
+		off = end
 	}
-	return nil, false, nil
+	return nil, false
 }
 
 // iter reads the table from the block containing start onward into a merge
@@ -248,7 +261,7 @@ func (s *Store) openTable(p *sim.Proc, d tableDesc) (*table, error) {
 	return t, nil
 }
 
-// decodeMeta is the inverse of encodeMeta.
+// decodeMeta is the inverse of appendMeta.
 func decodeMeta(t *table, b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("kvstore: short table meta")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"bmstore/internal/sim"
@@ -36,18 +37,30 @@ func newWAL(s *Store, base, blocks uint64) *wal {
 	return &wal{s: s, baseBlock: base, blocks: blocks, nextLSN: 1}
 }
 
-func encodeRecord(lsn uint64, key, value []byte) []byte {
+// appendRecord encodes one record onto dst and returns the extended slice.
+// A nil value is written as a tombstone.
+func appendRecord(dst []byte, lsn uint64, key, value []byte) []byte {
 	vlen := uint32(len(value))
 	if value == nil {
 		vlen = 0xFFFFFFFF
 	}
-	b := make([]byte, walRecordHeader+len(key)+len(value))
-	binary.LittleEndian.PutUint64(b[4:], lsn)
-	binary.LittleEndian.PutUint32(b[12:], uint32(len(key)))
-	binary.LittleEndian.PutUint32(b[16:], vlen)
-	copy(b[walRecordHeader:], key)
-	copy(b[walRecordHeader+len(key):], value)
-	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc, filled below
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(key)))
+	dst = binary.LittleEndian.AppendUint32(dst, vlen)
+	dst = append(dst, key...)
+	dst = append(dst, value...)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+4:]))
+	return dst
+}
+
+// padBlocks zero-pads b in place to a whole number of bs-byte blocks.
+func padBlocks(b []byte, bs int) []byte {
+	n := len(b)
+	pad := (bs - n%bs) % bs
+	b = slices.Grow(b, pad)[:n+pad]
+	clear(b[n:])
 	return b
 }
 
@@ -95,7 +108,7 @@ func decodeRecords(b []byte) []walRecord {
 func (w *wal) append(p *sim.Proc, key, value []byte) (uint64, error) {
 	lsn := w.nextLSN
 	w.nextLSN++
-	w.pending = append(w.pending, encodeRecord(lsn, key, value)...)
+	w.pending = appendRecord(w.pending, lsn, key, value)
 	ev := w.s.env.NewEvent()
 	w.waiters = append(w.waiters, ev)
 	if !w.flushing {
@@ -125,9 +138,8 @@ func (w *wal) commitLoop(p *sim.Proc) {
 		if w.writeBlock+nBlocks > w.blocks {
 			w.writeBlock = 0 // keep the batch contiguous
 		}
-		buf := make([]byte, nBlocks*uint64(bs))
-		copy(buf, batch)
-		if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), buf); err == nil {
+		batch = padBlocks(batch, bs)
+		if err := w.s.dev.WriteAt(p, w.baseBlock+w.writeBlock, uint32(nBlocks), batch); err == nil {
 			w.writeBlock += nBlocks
 		}
 		for _, ev := range waiters {

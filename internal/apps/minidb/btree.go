@@ -73,8 +73,10 @@ func decodeNode(data []byte) (any, error) {
 	}
 }
 
+// encode writes the leaf into a PageSize page. Only the gap between the
+// entry directory and the packed payloads is cleared: every other byte is
+// overwritten.
 func (ln *leafNode) encode(data []byte) {
-	clear(data)
 	data[0] = nodeLeaf
 	binary.LittleEndian.PutUint16(data[1:], uint16(len(ln.entries)))
 	dir := 3
@@ -86,6 +88,7 @@ func (ln *leafNode) encode(data []byte) {
 		off -= len(e.row)
 		copy(data[off:], e.row)
 	}
+	clear(data[dir:off])
 }
 
 func (ln *leafNode) bytes() int {

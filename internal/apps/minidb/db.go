@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"bmstore/internal/host"
 	"bmstore/internal/sim"
@@ -192,13 +192,10 @@ type journalRec struct {
 }
 
 // writeJournal persists the planned checkpoint: header block (JSON meta +
-// CRC over the images) followed by the page images.
-func (db *DB) writeJournal(p *sim.Proc, rec journalRec, images [][]byte) error {
+// CRC over the images) followed by the page images, which blob holds back
+// to back in rec.Pages order.
+func (db *DB) writeJournal(p *sim.Proc, rec journalRec, blob []byte) error {
 	bs := db.dev.BlockSize()
-	var blob []byte
-	for _, img := range images {
-		blob = append(blob, img...)
-	}
 	meta, _ := json.Marshal(rec)
 	head := make([]byte, blocksPerPage*4096)
 	binary.LittleEndian.PutUint32(head, 0xD1DB00DD)
@@ -210,10 +207,7 @@ func (db *DB) writeJournal(p *sim.Proc, rec journalRec, images [][]byte) error {
 	const chunk = 512 << 10
 	imgBase := db.journalBase + blocksPerPage
 	for off := 0; off < len(blob); off += chunk {
-		end := off + chunk
-		if end > len(blob) {
-			end = len(blob)
-		}
+		end := min(off+chunk, len(blob))
 		if err := db.dev.WriteAt(p, imgBase+uint64(off/bs), uint32((end-off)/bs), blob[off:end]); err != nil {
 			return err
 		}
@@ -294,24 +288,24 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 
 	db.writeLock.Acquire(p)
 	cpLSN := db.redo.nextLSN - 1
-	var rec journalRec
-	var images [][]byte
-	versions := make(map[pageID]uint64)
 	// Snapshot in sorted page order: map iteration order must not leak
 	// into the journal layout or the write sequence, or the trace digest
-	// stops being a pure function of the seed.
-	var dirty []pageID
+	// stops being a pure function of the seed. Page i's image is
+	// snap[i*PageSize:][:PageSize]; the journal and the in-place writes
+	// both slice this one buffer.
+	dirty := make([]pageID, 0, db.pool.dirtyN)
 	for id, f := range db.pool.frames {
 		if f.dirty {
 			dirty = append(dirty, id)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
-	for _, id := range dirty {
+	slices.Sort(dirty)
+	snap := make([]byte, len(dirty)*PageSize)
+	versions := make([]uint64, len(dirty))
+	for i, id := range dirty {
 		f := db.pool.frames[id]
-		rec.Pages = append(rec.Pages, id)
-		images = append(images, append([]byte(nil), f.data...))
-		versions[id] = f.version
+		copy(snap[i*PageSize:], f.data)
+		versions[i] = f.version
 	}
 	newRoot, newNext := db.root, db.pool.nextPage
 	oldLSN := db.ckptLSN
@@ -324,23 +318,20 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	// mixed-epoch page tree under the old root — the narrow window a real
 	// engine closes with page-level redo; see DESIGN.md.)
 	maxPages := int(db.journalBlks/blocksPerPage) - 2
-	for start := 0; start < len(rec.Pages); start += maxPages {
-		end := start + maxPages
-		if end > len(rec.Pages) {
-			end = len(rec.Pages)
-		}
+	for start := 0; start < len(dirty); start += maxPages {
+		end := min(start+maxPages, len(dirty))
 		pass := journalRec{
-			Pages: rec.Pages[start:end],
+			Pages: dirty[start:end],
 			Super: superblock{Epoch: db.epoch + 1, CkptLSN: oldLSN, Root: newRoot, NextPage: newNext},
 		}
-		if end == len(rec.Pages) {
+		if end == len(dirty) {
 			pass.Super.CkptLSN = cpLSN
 		}
-		if err := db.checkpointPass(p, pass, images[start:end]); err != nil {
+		if err := db.checkpointPass(p, pass, snap[start*PageSize:end*PageSize]); err != nil {
 			return err
 		}
 	}
-	if len(rec.Pages) == 0 {
+	if len(dirty) == 0 {
 		// Nothing dirty: still advance the checkpoint LSN.
 		pass := journalRec{Super: superblock{Epoch: db.epoch + 1, CkptLSN: cpLSN, Root: newRoot, NextPage: newNext}}
 		if err := db.checkpointPass(p, pass, nil); err != nil {
@@ -351,23 +342,24 @@ func (db *DB) Checkpoint(p *sim.Proc) error {
 	// A snapshot page becomes clean only if nothing touched it since the
 	// snapshot; pages re-dirtied during the checkpoint stay dirty for the
 	// next one.
-	for id, v := range versions {
-		if f, ok := db.pool.frames[id]; ok && f.version == v {
-			f.dirty = false
+	for i, id := range dirty {
+		if f, ok := db.pool.frames[id]; ok && f.version == versions[i] {
+			db.pool.markClean(f)
 		}
 	}
 	db.Stats.Checkpoints++
 	return nil
 }
 
-// checkpointPass journals a batch of page images, writes them in place,
-// and commits the superblock for this epoch.
-func (db *DB) checkpointPass(p *sim.Proc, rec journalRec, images [][]byte) error {
-	if err := db.writeJournal(p, rec, images); err != nil {
+// checkpointPass journals a batch of page images (back to back in blob, in
+// rec.Pages order), writes them in place, and commits the superblock for
+// this epoch.
+func (db *DB) checkpointPass(p *sim.Proc, rec journalRec, blob []byte) error {
+	if err := db.writeJournal(p, rec, blob); err != nil {
 		return err
 	}
 	for i, id := range rec.Pages {
-		if err := db.dev.WriteAt(p, db.pool.pageLBA(id), blocksPerPage, images[i]); err != nil {
+		if err := db.dev.WriteAt(p, db.pool.pageLBA(id), blocksPerPage, blob[i*PageSize:(i+1)*PageSize]); err != nil {
 			return err
 		}
 	}

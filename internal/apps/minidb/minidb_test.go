@@ -18,7 +18,7 @@ type rig struct {
 	drv *host.Driver
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	env := sim.NewEnv(31)
 	h := host.New(env, 768<<30, host.CentOS("3.10.0"))
@@ -42,7 +42,7 @@ func newRig(t *testing.T) *rig {
 	return r
 }
 
-func (r *rig) run(t *testing.T, fn func(p *sim.Proc)) {
+func (r *rig) run(t testing.TB, fn func(p *sim.Proc)) {
 	t.Helper()
 	main := r.env.Go("test", fn)
 	r.env.RunUntilEvent(main.Done())
@@ -294,5 +294,98 @@ func TestRandomOpsWithCheckpointsMatchModel(t *testing.T) {
 				t.Fatalf("after crash: key %d = %q,%v want %q", k, v, ok, want)
 			}
 		}
+	})
+}
+
+// TestCleanCountMatchesFrameWalk checks the pager's O(1) clean-frame count
+// against a walk of the frame map after every step of a writer, a reader
+// and a checkpointing process sharing a 64-page pool. The mix makes every
+// transition of a frame's dirty bit happen: clean-frame eviction, no-steal
+// overflow, and pages re-dirtied while a checkpoint's I/O is in flight.
+func TestCleanCountMatchesFrameWalk(t *testing.T) {
+	r := newRig(t)
+	r.run(t, func(p *sim.Proc) {
+		cfg := dbCfg()
+		db, err := minidb.Open(p, r.env, r.drv.BlockDev(0), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := false
+		check := func(step string) {
+			if counted, walked := db.CleanCounts(); counted != walked && !bad {
+				bad = true
+				t.Errorf("after %s: clean count %d, frame walk %d", step, counted, walked)
+			}
+		}
+		check("open")
+		const keys = 2000
+		bigRow := func(k, n int) []byte { return []byte(fmt.Sprintf("%d-%d-%0600d", k, n, k)) }
+		writing := true
+		var redirtied int
+		var done []*sim.Event
+		spawn := func(name string, fn func(wp *sim.Proc)) {
+			done = append(done, r.env.Go(name, fn).Done())
+		}
+		spawn("writer", func(wp *sim.Proc) {
+			defer func() { writing = false }()
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 3000 && !bad; i++ {
+				k := rng.Intn(keys)
+				if err := db.Put(wp, uint64(k), bigRow(k, i)); err != nil {
+					t.Error(err)
+					return
+				}
+				check("put")
+			}
+		})
+		spawn("reader", func(wp *sim.Proc) {
+			rng := rand.New(rand.NewSource(4))
+			for writing && !bad {
+				wp.Sleep(20 * sim.Microsecond) // a resident read never yields
+				k := uint64(rng.Intn(keys))
+				if rng.Intn(4) == 0 {
+					if _, err := db.Begin().ReadRange(wp, k, 30); err != nil {
+						t.Error(err)
+						return
+					}
+					check("scan")
+				} else {
+					if _, _, err := db.Get(wp, k); err != nil {
+						t.Error(err)
+						return
+					}
+					check("get")
+				}
+			}
+		})
+		spawn("checkpointer", func(wp *sim.Proc) {
+			rng := rand.New(rand.NewSource(5))
+			for writing && !bad {
+				wp.Sleep(sim.Time(1+rng.Intn(20)) * sim.Millisecond)
+				before := db.DirtyVersions()
+				if err := db.Checkpoint(wp); err != nil {
+					t.Error(err)
+					return
+				}
+				check("checkpoint")
+				// A page dirty before the checkpoint and still dirty when it
+				// returns was modified after the snapshot, during its I/O.
+				after := db.DirtyVersions()
+				for id := range before {
+					if _, ok := after[id]; ok {
+						redirtied++
+					}
+				}
+			}
+		})
+		for _, ev := range done {
+			p.Wait(ev)
+		}
+		evictions, overflows := db.PoolStats()
+		if evictions == 0 || overflows == 0 || redirtied == 0 {
+			t.Errorf("workload too tame: %d evictions, %d overflows, %d pages re-dirtied during a checkpoint",
+				evictions, overflows, redirtied)
+		}
+		t.Logf("%d evictions, %d overflows, %d pages re-dirtied during a checkpoint", evictions, overflows, redirtied)
 	})
 }

@@ -48,18 +48,35 @@ type pager struct {
 
 	nextPage pageID
 
+	// dirtyN counts the dirty frames in frames, so the clean count that
+	// insert consults on every fault is O(1). Every transition of
+	// frame.dirty on a resident frame goes through markDirty, markClean or
+	// insert; evictClean only drops clean frames.
+	dirtyN int
+
 	// onPressure fires when the pool cannot evict (everything dirty under
 	// the no-steal policy); the DB responds with a checkpoint.
 	onPressure func()
 
 	// Stats for observability.
-	Hits, Misses, Writebacks, Overflows uint64
+	Hits, Misses, Evictions, Writebacks, Overflows uint64
 }
 
 // markDirty records a modification to a resident page.
 func (pg *pager) markDirty(f *frame) {
-	f.dirty = true
+	if !f.dirty {
+		f.dirty = true
+		pg.dirtyN++
+	}
 	f.version++
+}
+
+// markClean records that a resident dirty page's image reached the disk.
+func (pg *pager) markClean(f *frame) {
+	if f.dirty {
+		f.dirty = false
+		pg.dirtyN--
+	}
 }
 
 func newPager(env *sim.Env, dev host.BlockDevice, baseBlk uint64, poolPages int) *pager {
@@ -138,19 +155,14 @@ func (pg *pager) insert(p *sim.Proc, f *frame) error {
 	}
 	_ = p
 	pg.frames[f.id] = f
+	if f.dirty {
+		pg.dirtyN++
+	}
 	pg.clock = append(pg.clock, f.id)
 	return nil
 }
 
-func (pg *pager) cleanCount() int {
-	n := 0
-	for _, f := range pg.frames {
-		if !f.dirty {
-			n++
-		}
-	}
-	return n
-}
+func (pg *pager) cleanCount() int { return len(pg.frames) - pg.dirtyN }
 
 // evictClean runs the clock hand over at most two sweeps looking for a
 // clean victim; it reports false when every page is dirty.
@@ -177,6 +189,7 @@ func (pg *pager) evictClean() bool {
 		}
 		delete(pg.frames, id)
 		pg.clock = append(pg.clock[:pg.hand], pg.clock[pg.hand+1:]...)
+		pg.Evictions++
 		return true
 	}
 	return false
@@ -184,7 +197,7 @@ func (pg *pager) evictClean() bool {
 
 func (pg *pager) writeback(p *sim.Proc, f *frame) error {
 	pg.Writebacks++
-	f.dirty = false
+	pg.markClean(f)
 	// Copy so a concurrent modification between I/O start and finish
 	// doesn't tear the written image.
 	img := append([]byte(nil), f.data...)

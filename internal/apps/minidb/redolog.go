@@ -3,6 +3,7 @@ package minidb
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"bmstore/internal/sim"
@@ -36,14 +37,16 @@ type redoRecord struct {
 	row []byte
 }
 
-func encodeRedo(lsn, key uint64, row []byte) []byte {
-	b := make([]byte, redoHeader+len(row))
-	binary.LittleEndian.PutUint64(b[4:], lsn)
-	binary.LittleEndian.PutUint64(b[12:], key)
-	binary.LittleEndian.PutUint32(b[20:], uint32(len(row)))
-	copy(b[24:], row)
-	binary.LittleEndian.PutUint32(b, crc32.ChecksumIEEE(b[4:]))
-	return b
+// appendRedo encodes one record onto dst and returns the extended slice.
+func appendRedo(dst []byte, lsn, key uint64, row []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint32(dst, 0) // crc, filled below
+	dst = binary.LittleEndian.AppendUint64(dst, lsn)
+	dst = binary.LittleEndian.AppendUint64(dst, key)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(row)))
+	dst = append(dst, row...)
+	binary.LittleEndian.PutUint32(dst[start:], crc32.ChecksumIEEE(dst[start+4:]))
+	return dst
 }
 
 func decodeRedo(b []byte) []redoRecord {
@@ -71,7 +74,7 @@ func decodeRedo(b []byte) []redoRecord {
 func (r *redoLog) append(key uint64, row []byte) uint64 {
 	lsn := r.nextLSN
 	r.nextLSN++
-	r.pending = append(r.pending, encodeRedo(lsn, key, row)...)
+	r.pending = appendRedo(r.pending, lsn, key, row)
 	return lsn
 }
 
@@ -101,9 +104,8 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 			if r.writeBlock+nBlocks > r.blocks {
 				r.writeBlock = 0
 			}
-			buf := make([]byte, nBlocks*uint64(bs))
-			copy(buf, batch)
-			if err := r.db.dev.WriteAt(p, r.baseBlock+r.writeBlock, uint32(nBlocks), buf); err == nil {
+			batch = padBlocks(batch, bs)
+			if err := r.db.dev.WriteAt(p, r.baseBlock+r.writeBlock, uint32(nBlocks), batch); err == nil {
 				r.writeBlock += nBlocks
 			}
 			r.Commits++
@@ -112,6 +114,15 @@ func (r *redoLog) flushLoop(p *sim.Proc) {
 			ev.Trigger(nil)
 		}
 	}
+}
+
+// padBlocks zero-pads b in place to a whole number of bs-byte blocks.
+func padBlocks(b []byte, bs int) []byte {
+	n := len(b)
+	pad := (bs - n%bs) % bs
+	b = slices.Grow(b, pad)[:n+pad]
+	clear(b[n:])
+	return b
 }
 
 // recover replays records with LSN > checkpointLSN, in LSN order, through

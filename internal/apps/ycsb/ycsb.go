@@ -89,10 +89,22 @@ func (r *Result) Throughput() float64 {
 
 func key(i int) []byte { return []byte(fmt.Sprintf("user%012d", i)) }
 
+// valueMax is rand.Int31n(26)'s rejection bound: the largest Int31 draw
+// that maps to a letter without modulo bias.
+const valueMax = 1<<31 - 1 - (1<<31)%26
+
+// value returns n random lowercase letters. It makes exactly the draws of
+// a byte('a'+rng.Intn(26)) loop — Intn(26) is Int31n(26), one Int63 per
+// try, rejecting Int31 values above valueMax — so the bytes and the RNG
+// state after the call are the same, without the call chain per byte.
 func value(rng *rand.Rand, n int) []byte {
 	v := make([]byte, n)
 	for i := range v {
-		v[i] = byte('a' + rng.Intn(26))
+		x := int32(rng.Int63() >> 32)
+		for x > valueMax {
+			x = int32(rng.Int63() >> 32)
+		}
+		v[i] = byte('a' + x%26)
 	}
 	return v
 }

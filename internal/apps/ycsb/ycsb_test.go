@@ -1,6 +1,8 @@
 package ycsb_test
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 
 	"bmstore/internal/apps/kvstore"
@@ -109,4 +111,53 @@ func TestWorkloadEScans(t *testing.T) {
 			t.Fatalf("%d failures", res.Failed)
 		}
 	})
+}
+
+// scriptedSource replays fixed Int63 outputs, so a test can force the
+// rejection branch of Int31n(26), which a real source hits about once in
+// 10^8 draws.
+type scriptedSource struct {
+	vals []int64
+	i    int
+}
+
+func (s *scriptedSource) Int63() int64 {
+	v := s.vals[s.i%len(s.vals)]
+	s.i++
+	return v
+}
+
+func (s *scriptedSource) Seed(int64) {}
+
+// TestValueMakesIntnDraws checks that value makes exactly the draws of a
+// byte('a'+rng.Intn(26)) loop: same bytes, and the same RNG state after,
+// shown by the next Int63 of both generators agreeing.
+func TestValueMakesIntnDraws(t *testing.T) {
+	const top = int64(1<<31-1) << 32 // Int31 = MaxInt32: rejected
+	rigs := map[string]func() rand.Source{
+		"seed 1":    func() rand.Source { return rand.NewSource(1) },
+		"seed 4242": func() rand.Source { return rand.NewSource(4242) },
+		"seed -9":   func() rand.Source { return rand.NewSource(-9) },
+		"rejects": func() rand.Source {
+			return &scriptedSource{vals: []int64{top, 5 << 32, top, top, 25<<32 | 7, 0, top - 1<<32}}
+		},
+	}
+	for name, src := range rigs {
+		for _, n := range []int{0, 1, 7, 26, 400, 4096} {
+			rng, twin := rand.New(src()), rand.New(src())
+			for rep := 0; rep < 3; rep++ {
+				got := ycsb.Value(rng, n)
+				want := make([]byte, n)
+				for i := range want {
+					want[i] = byte('a' + twin.Intn(26))
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s n=%d rep %d: value = %q, Intn loop = %q", name, n, rep, got, want)
+				}
+			}
+			if a, b := rng.Int63(), twin.Int63(); a != b {
+				t.Fatalf("%s n=%d: next Int63 %d vs %d: value consumed a different number of draws", name, n, a, b)
+			}
+		}
+	}
 }

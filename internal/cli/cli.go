@@ -6,8 +6,8 @@
 // flags once (identical names, defaults and help text everywhere — a parity
 // test pins this), validates the combinations that used to fail silently,
 // and Build turns them into a Run: the trace/metrics families plus per-rig
-// bmstore.Option slices, so no binary writes the deprecated Config
-// observability fields directly.
+// bmstore.Option slices, the only way to attach observers and faults to a
+// bmstore.Config.
 package cli
 
 import (
@@ -191,9 +191,8 @@ func (r *Run) Close() error {
 }
 
 // RigOptions returns the bmstore.Option slice wiring one named rig: its
-// child tracer and metrics registry and the fault schedule. This is the only way the binaries attach
-// observability to a testbed — none of them touches the deprecated Config
-// fields.
+// child tracer and metrics registry and the fault schedule. This is how the
+// binaries attach observability and faults to a testbed.
 func (r *Run) RigOptions(rig string) []bmstore.Option {
 	var opts []bmstore.Option
 	if r.Traces != nil {

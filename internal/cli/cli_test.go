@@ -80,10 +80,11 @@ func TestBinariesUseSharedFlagSurface(t *testing.T) {
 			}
 		}
 		// The acceptance criterion behind the redesign: no direct writes to
-		// the deprecated Config observability fields anywhere in cmd/.
+		// Config observability fields anywhere in cmd/ (the fields are now
+		// unexported, so the compiler enforces this for bmstore.Config).
 		for _, field := range []string{".Tracer =", ".Metrics =", ".Faults ="} {
 			if strings.Contains(text, field) {
-				t.Errorf("%s: writes deprecated Config field %q directly; use bmstore.Option wiring", rel, strings.TrimSuffix(field, " ="))
+				t.Errorf("%s: writes Config field %q directly; use bmstore.Option wiring", rel, strings.TrimSuffix(field, " ="))
 			}
 		}
 	}

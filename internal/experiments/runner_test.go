@@ -150,7 +150,7 @@ func TestHarnessSerial(t *testing.T) {
 	if cfg.Seed != 99 {
 		t.Fatalf("config seed = %d", cfg.Seed)
 	}
-	if cfg.Tracer != nil {
-		t.Fatal("untraced harness attached a tracer")
+	if len(h.Options("rig")) != 0 {
+		t.Fatal("untraced harness attached an observer")
 	}
 }

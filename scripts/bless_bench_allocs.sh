@@ -10,6 +10,7 @@ cd "$(dirname "$0")/.."
 baseline=scripts/bench_allocs_baseline.txt
 sim=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
 io=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|DigestTraced|SampledTimeline)$' -benchtime=1000x -benchmem .)
+apps=$(go test -run '^$' -bench '^Benchmark(MinidbTxn|KVStorePutGet)Throughput$' -benchtime=1000x -benchmem ./internal/apps/minidb/ ./internal/apps/kvstore/)
 
 {
 	cat <<'EOF'
@@ -25,11 +26,18 @@ io=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|DigestTraced|SampledT
 # BenchmarkIOPathSampledTimeline, where every request carries a pooled
 # timeline and 1-in-64 are retained. At the gate's short benchtimes one-time
 # warm-up (proc stacks, free-list priming) still shows through for the
-# process benchmark: 101 B/op rounds to 1 alloc/op.
+# process benchmarks.
+# ProcessSleep 1 -> 2: its 16 spawns, each an iter.Pull coroutine of 14
+# allocs, amortise over only 100 ops; it reports 0 at -benchtime=100000x.
+# ProcessSpawn is one process lifecycle per op: 14 allocs in steady state
+# (Proc, Done event, the iter.Pull coroutine), 16 with the gate's warm-up.
+# MinidbTxn (one sysbench-shaped transaction, 421 before the copy diet) and
+# KVStorePutGet (one put + one get, 115 before) are the application layer:
+# decoded pages, rows, WAL records and per-process events still allocate.
 # Raising these numbers needs a written justification; regenerate with
 # `make bench-baseline`.
 EOF
-	printf '%s\n%s\n' "$sim" "$io" | awk '
+	printf '%s\n%s\n%s\n' "$sim" "$io" "$apps" | awk '
 		$1 ~ /^Benchmark/ {
 			name = $1
 			sub(/-[0-9]+$/, "", name)

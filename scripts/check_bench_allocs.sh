@@ -1,21 +1,26 @@
 #!/usr/bin/env bash
 # Alloc-regression gate for the simulation hot paths.
 #
-# Runs the kernel scheduler throughput benchmarks (internal/sim) and the
+# Runs the kernel scheduler throughput benchmarks (internal/sim), the
 # end-to-end I/O path benchmarks (BenchmarkIOPathThroughput and its
-# digest-traced and sampled-timeline variants, root package)
+# digest-traced and sampled-timeline variants, root package) and the
+# application-layer benchmarks (a minidb transaction, a kvstore put+get)
 # with -benchmem and compares each benchmark's allocs/op against the
 # committed baseline in scripts/bench_allocs_baseline.txt. The kernel
 # free-lists events, the data path pools every per-command carrier,
-# and the Schedule fast path allocates nothing, so the baselines are 0
-# allocs/op; any change that reintroduces a per-event or per-I/O allocation
-# fails this gate. Re-bless intentional changes with `make bench-baseline`.
+# and the Schedule fast path allocates nothing, so the kernel and I/O path
+# baselines are 0 allocs/op; any change that reintroduces a per-event or
+# per-I/O allocation fails this gate, and any change that adds one to an
+# application transaction does too. Re-bless intentional changes with
+# `make bench-baseline`.
 #
 # Short fixed benchtimes keep the gate cheap: Go counts allocations exactly
 # (no sampling), so a short run is deterministic. The only artifact is
 # one-time warm-up cost showing through the per-op average; the committed
 # baselines account for it. The I/O path benchmark runs 1000x so its fixed
-# per-batch setup (worker processes) amortises to 0.
+# per-batch setup (worker processes) amortises to 0. The application
+# benchmarks run 1000x too; the simulation is deterministic, so at a fixed
+# count their allocs/op repeat exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +28,8 @@ baseline=scripts/bench_allocs_baseline.txt
 out=$(go test -run '^$' -bench 'Throughput$' -benchtime=100x -benchmem ./internal/sim/)
 out+=$'\n'
 out+=$(go test -run '^$' -bench '^BenchmarkIOPath(Throughput|DigestTraced|SampledTimeline)$' -benchtime=1000x -benchmem .)
+out+=$'\n'
+out+=$(go test -run '^$' -bench '^Benchmark(MinidbTxn|KVStorePutGet)Throughput$' -benchtime=1000x -benchmem ./internal/apps/minidb/ ./internal/apps/kvstore/)
 echo "$out"
 
 status=0
